@@ -35,6 +35,7 @@ nothing from the repo), so any layer may import it without cycles.
 from __future__ import annotations
 
 import contextlib
+import os
 import signal
 import threading
 import zipfile
@@ -151,7 +152,17 @@ def sigterm_translated():
         yield
         return
 
+    owner = os.getpid()
+
     def _on_sigterm(signum, frame):
+        if os.getpid() != owner:
+            # A process forked inside the block (a pool worker) inherits
+            # this handler, but must die the default way: raising would
+            # make it try to report the exception through a result pipe
+            # nobody reads any more, and hang the coordinator's exit.
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return
         raise RunTerminated("SIGTERM received; finalising and exiting")
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)

@@ -12,7 +12,10 @@ This experiment quantifies that gap on the split+delay countermeasure:
   paper's §3 emulation);
 * **enforced** — the same page loads with a Stob controller installed
   on the server endpoint (split + delay acting on real transport
-  decisions).
+  decisions).  Enforced visit (site, sample) draws the same page and
+  path as original visit (site, sample): both come from
+  ``visit_seed_rng(seed, site, sample)`` through the one trial
+  executor, so the gap compares like with like.
 
 Reported per condition: k-FP accuracy, trace-shape statistics, and the
 divergence between the two defended distributions (a classifier
@@ -32,44 +35,26 @@ from repro.capture.dataset import Dataset
 from repro.capture.sanitize import sanitize_dataset
 from repro.defenses.combined import CombinedDefense
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import PageLoadTrial, run_trials
 from repro.experiments.table2 import evaluate_dataset
 from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy_score, mean_std
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
-from repro.web.pageload import PageLoadConfig, load_page
-from repro.web.sites import SITE_CATALOG
-
-
-def _stob_controller(seed: int) -> StobController:
-    return StobController(
-        action=ComposedAction(
-            SplitAction(1200, 2),
-            DelayAction(0.10, 0.30, rng=np.random.default_rng(seed)),
-        )
-    )
+from repro.web.pageload import PageLoadConfig, collect_dataset
 
 
 def collect_enforced_dataset(
     n_samples: int,
     config: Optional[PageLoadConfig] = None,
     seed: int = 0,
+    workers: int = 1,
 ) -> Dataset:
-    """Page loads with Stob split+delay enforced in the server stack."""
-    config = config or PageLoadConfig()
-    dataset = Dataset()
-    root = np.random.default_rng(seed)
-    for label in sorted(SITE_CATALOG):
-        profile = SITE_CATALOG[label]
-        for _ in range(n_samples):
-            visit_seed = int(root.integers(0, 2**63))
-            rng = np.random.default_rng(visit_seed)
-            controller = _stob_controller(visit_seed & 0x7FFFFFFF)
-            trace = load_page(
-                profile, config, rng, server_controller=controller
-            )
-            dataset.add(label, trace)
-    return dataset
+    """Page loads with Stob split+delay enforced in the server stack:
+    the visits of ``collect_dataset`` with the same arguments, stalled
+    ones dropped."""
+    return run_trials(
+        PageLoadTrial(config or PageLoadConfig(), enforce=True), n_samples,
+        seed=seed, workers=workers,
+    )
 
 
 @dataclass
@@ -103,17 +88,16 @@ def run_enforcement_gap(
     """Measure the emulation-vs-enforcement gap."""
     config = config or ExperimentConfig()
     if raw_dataset is None:
-        from repro.web.pageload import collect_dataset
-
         raw_dataset = collect_dataset(
             n_samples=config.n_samples, config=config.pageload,
-            seed=config.seed,
+            seed=config.seed, workers=config.workers,
         )
     original, _ = sanitize_dataset(raw_dataset, balance_to=config.balance_to)
     emulated = original.map(CombinedDefense(seed=config.seed).apply)
 
     enforced_raw = collect_enforced_dataset(
-        n_samples=config.n_samples, config=config.pageload, seed=config.seed
+        n_samples=config.n_samples, config=config.pageload, seed=config.seed,
+        workers=config.workers,
     )
     enforced, _ = sanitize_dataset(enforced_raw, balance_to=config.balance_to)
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.attacks.features.kfp import KfpFeatureExtractor
 from repro.capture.dataset import Dataset
 from repro.capture.sanitize import sanitize_dataset
@@ -29,26 +27,7 @@ from repro.experiments.table2 import evaluate_dataset
 from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy_score, mean_std
 from repro.quic.pageload import collect_quic_dataset
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
 from repro.web.pageload import collect_dataset
-
-
-def _stob_factory(seed: int):
-    state = {"n": 0}
-
-    def make() -> StobController:
-        state["n"] += 1
-        return StobController(
-            action=ComposedAction(
-                SplitAction(1200, 2),
-                DelayAction(
-                    0.10, 0.30, rng=np.random.default_rng(seed + state["n"])
-                ),
-            )
-        )
-
-    return make
 
 
 @dataclass
@@ -69,16 +48,15 @@ def run_quic_vs_tcp(
     if tcp_dataset is None:
         tcp_dataset = collect_dataset(
             n_samples=config.n_samples, config=config.pageload,
-            seed=config.seed,
+            seed=config.seed, workers=config.workers,
         )
     quic_dataset = collect_quic_dataset(
-        n_samples=config.n_samples, config=config.pageload, seed=config.seed
+        n_samples=config.n_samples, config=config.pageload, seed=config.seed,
+        workers=config.workers,
     )
     quic_stob = collect_quic_dataset(
-        n_samples=config.n_samples,
-        config=config.pageload,
-        seed=config.seed,
-        controller_factory=_stob_factory(config.seed),
+        n_samples=config.n_samples, config=config.pageload, seed=config.seed,
+        enforce=True, workers=config.workers,
     )
     tcp_clean, _ = sanitize_dataset(tcp_dataset, balance_to=config.balance_to)
     quic_clean, _ = sanitize_dataset(quic_dataset, balance_to=config.balance_to)

@@ -1,14 +1,20 @@
-"""Resilient experiment runner: retries, deadlines, checkpoint/resume.
+"""The trial executor: every (site, sample) grid becomes a dataset here.
 
 Dataset collection is the long pole of every experiment in this repo —
 thousands of simulated page loads — and under fault injection
-individual trials can stall or fail.  This module wraps trial
-execution with the reliability layer a long collection run needs:
+individual trials can stall or fail.  This module is the one place a
+grid of page-load trials (TCP, QUIC or Stob-enforced, see
+:class:`PageLoadTrial`) turns into a dataset, with the reliability
+layer a long collection run needs:
 
-* **deterministic per-trial seeding** — each (site, sample, attempt)
-  triple derives its own ``numpy.random.Generator`` from the master
-  seed, independent of execution order, so an interrupted run resumed
-  from a checkpoint produces a byte-identical final dataset;
+* **one seed derivation** — attempt 0 of trial (site, sample) draws
+  from :func:`~repro.web.pageload.visit_seed_rng` ``(seed, site,
+  sample)``; retry ``k`` appends ``k`` to that seed tuple.  A trial's
+  randomness depends only on which trial it is, never on execution
+  order, worker count or the trial kind, so an interrupted run resumed
+  from a checkpoint produces a byte-identical final dataset and two
+  conditions collected with the same seed visit the same pages over
+  the same paths;
 * **stall detection** — per-trial simulated-time deadlines surface as
   :class:`~repro.web.pageload.PageLoadStalled`, and an optional
   wall-clock deadline aborts trials that burn real time;
@@ -21,11 +27,14 @@ execution with the reliability layer a long collection run needs:
   through :mod:`repro.capture.serialize` plus a JSON manifest, and
   ``resume=True`` skips completed trials;
 * **parallel execution** — ``workers > 1`` fans trials out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` in chunks.  Because
-  every trial's randomness is position-derived
-  (:func:`trial_seed_rng`) and results are merged by coordinate, the
-  final dataset is bit-identical for any worker count, and
-  checkpoint/resume keeps working across worker-count changes.
+  supervised process pool in chunks; results are merged by
+  coordinate, so the final dataset is bit-identical for any worker
+  count, and checkpoint/resume keeps working across worker-count
+  changes.
+
+:func:`run_trials` is the plain call (one attempt, no checkpoint) that
+``collect_dataset``, the enforcement and the QUIC experiments use;
+:func:`collect_resilient` adds retries, checkpoints and caching.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ import json
 import logging
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,27 +64,12 @@ from repro.supervise import SupervisedPool, SupervisorConfig
 from repro.capture.dataset import Dataset
 from repro.capture.serialize import load_dataset, save_dataset_atomic
 from repro.capture.trace import Trace
-from repro.web.pageload import PageLoadConfig, PageLoadStalled, load_page_strict
+from repro.stob.controller import split_delay_controller
+from repro.web import pageload
+from repro.web.pageload import PageLoadConfig, PageLoadStalled, visit_seed_rng
 from repro.web.sites import SITE_CATALOG
 
 log = logging.getLogger("repro.runner")
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the old module-level RETRYABLE tuple included
-    # bare RuntimeError/ValueError, which retried (and thereby masked)
-    # programming bugs.  Retryability now lives in the repro.errors
-    # taxonomy; importing the old name still works but warns.
-    if name == "RETRYABLE":
-        warnings.warn(
-            "repro.experiments.runner.RETRYABLE is deprecated; use "
-            "repro.errors.RETRYABLE_ERRORS (trials opt into retry by "
-            "raising repro.errors.TrialError subclasses)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RETRYABLE_ERRORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TrialDeadlineExceeded(TrialError):
@@ -133,6 +126,9 @@ class CollectionReport:
     #: True when the whole collection was served from the artifact
     #: cache (no trials executed this run).
     from_cache: bool = False
+    #: Every stalled attempt of this run, in grid order (not kept in
+    #: checkpoints or the cache: a resumed run only logs its own).
+    stall_log: List[PageLoadStalled] = field(default_factory=list, repr=False)
 
     @property
     def dropped_trials(self) -> int:
@@ -193,33 +189,24 @@ class RunnerConfig:
 #: A trial function: (label, sample index, rng, watchdog) -> Trace.
 TrialFn = Callable[[str, int, np.random.Generator, Optional[Callable[[], None]]], Trace]
 
-#: Fixed bucket edges for per-trial wall time (seconds).
-TRIAL_WALL_EDGES = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
-)
-
-
-def trial_seed_rng(master_seed: int, site_index: int, sample: int, attempt: int) -> np.random.Generator:
-    """The canonical per-trial generator.
-
-    Seeding from the full coordinate tuple (not a sequential stream)
-    is what makes resume byte-identical: a trial's randomness depends
-    only on *which* trial it is and the attempt number, never on how
-    many trials ran before it.
-    """
-    return np.random.default_rng([master_seed, site_index, sample, attempt])
-
-
 @dataclass(frozen=True)
 class PageLoadTrial:
-    """The default trial: one strict page load of the labelled site.
+    """One strict page load of the labelled site: the trial spec of
+    every collection path.
 
-    A dataclass rather than a closure so it pickles — the parallel
-    executor ships the trial function to worker processes.
+    ``quic`` swaps the TCP transport for QUIC.  ``enforce`` installs the
+    split+delay Stob controller on the server endpoint; its delay
+    generator is ``rng.spawn(1)[0]``, a child of the visit's generator,
+    and spawning leaves the visit's own draws (path, page) exactly
+    those of the undefended visit.  A deadline-truncated load raises
+    :class:`~repro.web.pageload.PageLoadStalled`, so partial traces
+    never enter a dataset.  A dataclass rather than a closure so it
+    pickles — the parallel executor ships it to worker processes.
     """
 
     config: PageLoadConfig
+    quic: bool = False
+    enforce: bool = False
 
     def __call__(
         self,
@@ -228,9 +215,20 @@ class PageLoadTrial:
         rng: np.random.Generator,
         watchdog: Optional[Callable[[], None]],
     ) -> Trace:
-        return load_page_strict(
-            SITE_CATALOG[label], label, self.config, rng, watchdog=watchdog
+        controller = split_delay_controller(rng.spawn(1)[0]) if self.enforce else None
+        if self.quic:
+            from repro.quic.pageload import load_page_quic_result as load
+        else:
+            # Looked up per call, so a wrapper installed on the module
+            # (a per-visit timer, say) sees every visit.
+            load = pageload.load_page_result
+        result = load(
+            SITE_CATALOG[label], self.config, rng,
+            server_controller=controller, watchdog=watchdog,
         )
+        if not result.completed:
+            raise PageLoadStalled(label, result)
+        return result.trace
 
 
 def pageload_trial_fn(config: PageLoadConfig) -> TrialFn:
@@ -247,14 +245,18 @@ class TrialOutcome:
     sample: int
     trace: Optional[Trace]
     retries: int = 0
-    stalls: int = 0
+    #: The stalled attempts, oldest first.
+    stalled: List[PageLoadStalled] = field(default_factory=list)
     failure: Optional[TrialFailure] = None
+
+    @property
+    def stalls(self) -> int:
+        return len(self.stalled)
 
 
 def execute_trial(
     trial_fn: TrialFn,
     label: str,
-    site_index: int,
     sample: int,
     master_seed: int,
     retry: RetryPolicy,
@@ -263,13 +265,14 @@ def execute_trial(
     clock: Callable[[], float] = time.monotonic,
 ) -> TrialOutcome:
     """One trial with retries — the shared core of the serial and
-    parallel paths.  Each attempt reseeds from the trial coordinates,
-    so where the trial executes never changes its randomness."""
+    parallel paths.  Attempt ``k`` draws from
+    ``visit_seed_rng(master_seed, label, sample, k)``, so where the
+    trial executes never changes its randomness."""
     outcome = TrialOutcome(label=label, sample=sample, trace=None)
     last_error: Optional[BaseException] = None
     trial_started = clock()
     for attempt in range(retry.max_attempts):
-        rng = trial_seed_rng(master_seed, site_index, sample, attempt)
+        rng = visit_seed_rng(master_seed, label, sample, attempt)
         watchdog: Optional[Callable[[], None]] = None
         if wall_deadline is not None:
             started = clock()
@@ -289,7 +292,7 @@ def execute_trial(
         except RETRYABLE_ERRORS as error:
             last_error = error
             if isinstance(error, PageLoadStalled):
-                outcome.stalls += 1
+                outcome.stalled.append(error)
             if attempt + 1 < retry.max_attempts:
                 outcome.retries += 1
                 sleep(retry.delay(attempt + 1))
@@ -311,7 +314,7 @@ def _observe_trial(outcome: TrialOutcome, wall_seconds: float) -> None:
     serial path, a pool worker otherwise (worker registries travel
     home as snapshots, see :mod:`repro.obs.runtime`).  All counters
     here are sim-determined, so serial and parallel runs report equal
-    totals; only the wall-time histogram is machine-dependent.
+    totals; only the wall-time timer is machine-dependent.
     """
     obs = _obs_runtime.session()
     if obs is None:
@@ -324,9 +327,9 @@ def _observe_trial(outcome: TrialOutcome, wall_seconds: float) -> None:
     registry.counter("runner.stalls").add(outcome.stalls)
     if outcome.failure is not None:
         registry.counter("runner.trials_failed").add(1)
-    registry.histogram(
-        "runner.trial_wall_seconds", TRIAL_WALL_EDGES
-    ).observe(wall_seconds)
+    # A timer, not a histogram: histograms are deterministic for any
+    # worker count, and wall time is not.
+    registry.timer("runner.trial_wall").record(wall_seconds)
 
 
 def _execute_trial_chunk(
@@ -334,16 +337,16 @@ def _execute_trial_chunk(
     retry: RetryPolicy,
     master_seed: int,
     wall_deadline: Optional[float],
-    trials: List[Tuple[str, int, int]],
+    trials: List[Tuple[str, int]],
 ) -> List[TrialOutcome]:
-    """Pool-worker task: run a chunk of ``(label, site_index, sample)``
-    trials and ship their outcomes back in one message."""
+    """Pool-worker task: run a chunk of ``(label, sample)`` trials and
+    ship their outcomes back in one message."""
     return [
         execute_trial(
-            trial_fn, label, site_index, sample, master_seed, retry,
+            trial_fn, label, sample, master_seed, retry,
             wall_deadline=wall_deadline,
         )
-        for label, site_index, sample in trials
+        for label, sample in trials
     ]
 
 
@@ -355,7 +358,10 @@ class ResilientRunner:
     sleeping or wall-clock waiting in CI).
     """
 
-    CHECKPOINT_VERSION = 1
+    #: 2: trial seeds come from ``visit_seed_rng``; version-1
+    #: checkpoints (``[seed, site_index, sample, attempt]`` seeds) are
+    #: refused by the fingerprint check, never mixed in.
+    CHECKPOINT_VERSION = 2
 
     def __init__(
         self,
@@ -476,26 +482,6 @@ class ResilientRunner:
 
     # -- execution ---------------------------------------------------------
 
-    def _run_trial(
-        self,
-        trial_fn: TrialFn,
-        label: str,
-        site_index: int,
-        sample: int,
-        master_seed: int,
-        report: CollectionReport,
-    ) -> Optional[Trace]:
-        """One in-process trial; None when the budget is exhausted."""
-        outcome = execute_trial(
-            trial_fn, label, site_index, sample, master_seed,
-            self.config.retry,
-            wall_deadline=self.config.trial_wall_deadline,
-            sleep=self._sleep,
-            clock=self._clock,
-        )
-        self._merge_outcome(outcome, report)
-        return outcome.trace
-
     @staticmethod
     def _merge_outcome(outcome: TrialOutcome, report: CollectionReport) -> None:
         report.retries += outcome.retries
@@ -557,8 +543,8 @@ class ResilientRunner:
 
         # Trials still to run, in deterministic grid order.
         pending = [
-            (label, site_index, sample)
-            for site_index, label in enumerate(sites)
+            (label, sample)
+            for label in sites
             for sample in range(n_samples)
             if sample not in results.get(label, {})
             and sample not in failed.get(label, set())
@@ -566,9 +552,15 @@ class ResilientRunner:
 
         obs = _obs_runtime.session()
 
+        # Stalled attempts by coordinate: the report lists them in grid
+        # order whatever order the trials complete in.
+        stalled: Dict[Tuple[str, int], List[PageLoadStalled]] = {}
+
         def complete(outcome: TrialOutcome) -> None:
             nonlocal since_checkpoint
             self._merge_outcome(outcome, report)
+            if outcome.stalled:
+                stalled[(outcome.label, outcome.sample)] = outcome.stalled
             if obs is not None:
                 if outcome.retries:
                     obs.emit(
@@ -602,13 +594,13 @@ class ResilientRunner:
                         pending, trial_fn, master_seed, workers, complete, report
                     )
                 else:
-                    for label, site_index, sample in pending:
+                    for label, sample in pending:
                         if obs is not None:
                             obs.emit(
                                 "trial.start", "runner", label=label, sample=sample
                             )
                         outcome = execute_trial(
-                            trial_fn, label, site_index, sample, master_seed,
+                            trial_fn, label, sample, master_seed,
                             self.config.retry,
                             wall_deadline=self.config.trial_wall_deadline,
                             sleep=self._sleep,
@@ -622,6 +614,9 @@ class ResilientRunner:
         # checkpoint manifest and report are part of the deterministic
         # output surface).
         report.failures.sort(key=lambda f: (f.label, f.index))
+        report.stall_log = [
+            stall for key in sorted(stalled) for stall in stalled[key]
+        ]
         maybe_checkpoint(force=True)
 
         dataset = Dataset()
@@ -634,7 +629,7 @@ class ResilientRunner:
 
     def _collect_parallel(
         self,
-        pending: List[Tuple[str, int, int]],
+        pending: List[Tuple[str, int]],
         trial_fn: TrialFn,
         master_seed: int,
         workers: int,
@@ -675,8 +670,11 @@ class ResilientRunner:
             self.config.trial_wall_deadline,
         )
 
+        merged = set()
+
         def merge(payload: object) -> None:
             for outcome in _obs_runtime.absorb(payload):
+                merged.add((outcome.label, outcome.sample))
                 complete(outcome)
 
         supervisor_config = self.config.supervisor
@@ -694,8 +692,16 @@ class ResilientRunner:
             workers, task, merge, config=supervisor_config
         )
         supervisor_report = pool.run(chunks)
+        # Quarantined trials are the only ones allowed to come home
+        # without an outcome.
+        dropped = sorted(q.item for q in supervisor_report.quarantined)
+        lost = sorted(trial for trial in pending if trial not in merged)
+        if lost != dropped:
+            raise RuntimeError(
+                f"supervised collection lost {lost} but only quarantined {dropped}"
+            )
         for quarantined in supervisor_report.quarantined:
-            label, _site_index, sample = quarantined.item
+            label, sample = quarantined.item
             report.failures.append(
                 TrialFailure(
                     label=label,
@@ -710,6 +716,40 @@ class ResilientRunner:
             )
 
 
+def run_trials(
+    trial_fn: TrialFn,
+    n_samples: int,
+    sites: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    workers: int = 1,
+    supervisor: Optional[SupervisorConfig] = None,
+    progress: Optional[Callable[[str, int], None]] = None,
+    stall_log: Optional[List[PageLoadStalled]] = None,
+) -> Dataset:
+    """The plain collection call: one attempt per trial, no checkpoint.
+
+    Attempt 0 of every trial, so each visit draws exactly
+    ``visit_seed_rng(seed, site, sample)``.  A trial that stalls (or
+    fails another retryable way) is dropped; stalls are appended to
+    ``stall_log`` in grid order.  ``workers`` and ``supervisor`` are
+    as in :class:`RunnerConfig`: neither changes the output bytes.
+    """
+    runner = ResilientRunner(
+        RunnerConfig(
+            retry=RetryPolicy(max_attempts=1),
+            workers=workers,
+            supervisor=supervisor or SupervisorConfig(),
+        )
+    )
+    dataset, report = runner.collect(
+        sites or sorted(SITE_CATALOG), n_samples, trial_fn, seed,
+        progress=progress,
+    )
+    if stall_log is not None:
+        stall_log.extend(report.stall_log)
+    return dataset
+
+
 def resilient_capture_key(
     sites: Sequence[str],
     n_samples: int,
@@ -722,9 +762,10 @@ def resilient_capture_key(
 
     The retry policy enters the key (retries decide which trials drop,
     so they shape the dataset); worker/checkpoint/chunk knobs do not
-    (wall-clock only, byte-identical output).  A configured
-    ``trial_wall_deadline`` makes outcomes machine-dependent, so such
-    runs key to None and are never cached.
+    (wall-clock only, byte-identical output).  The seed-scheme marker
+    keeps entries written under the old per-trial seeds from ever
+    being served.  A configured ``trial_wall_deadline`` makes outcomes
+    machine-dependent, so such runs key to None and are never cached.
     """
     if runner_config.trial_wall_deadline is not None:
         return None
@@ -735,7 +776,11 @@ def resilient_capture_key(
         sites,
         n_samples,
         seed,
-        collector={"runner": "resilient", "retry": runner_config.retry},
+        collector={
+            "runner": "resilient",
+            "retry": runner_config.retry,
+            "seeds": "visit_seed_rng",
+        },
     )
 
 

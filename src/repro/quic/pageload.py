@@ -4,7 +4,8 @@ Reuses the HTTP exchange driver of :mod:`repro.web.pageload` — both
 transport endpoints expose the same ``write``/``on_data``/
 ``on_established`` surface — so the only difference between a TCP and
 a QUIC visit of the same page is the transport, which is exactly what
-the TCP-vs-QUIC fingerprinting comparison needs.
+the TCP-vs-QUIC fingerprinting comparison needs.  QUIC visit (site,
+sample) draws the same page and path as TCP visit (site, sample).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import numpy as np
 
 from repro.capture.dataset import Dataset
 from repro.capture.trace import Trace, TraceObserver
+from repro.experiments.runner import PageLoadTrial, run_trials
 from repro.quic.endpoint import QuicConfig, make_quic_flow
 from repro.simnet.engine import Simulator
 from repro.stob.controller import StobController
 from repro.web.objects import SiteProfile
-from repro.web.pageload import PageLoadConfig, _PageLoadSession
-from repro.web.sites import SITE_CATALOG
+from repro.web.pageload import PageLoadConfig, PageLoadResult, run_visit
 
 
 @dataclass
@@ -35,13 +36,14 @@ class _QuicFlowAdapter:
         self.client.connect()
 
 
-def load_page_quic(
+def load_page_quic_result(
     profile: SiteProfile,
     config: Optional[PageLoadConfig] = None,
     rng: Optional[np.random.Generator] = None,
     server_controller: Optional[StobController] = None,
-) -> Trace:
-    """Simulate one QUIC visit and return the observed trace."""
+    watchdog: Optional[Callable[[], None]] = None,
+) -> PageLoadResult:
+    """Simulate one QUIC visit; ``completed=False`` marks a stall."""
     config = config or PageLoadConfig()
     rng = rng or np.random.default_rng(0)
     sim = Simulator()
@@ -58,21 +60,19 @@ def load_page_quic(
     )
     if server_controller is not None:
         server.segment_controller = server_controller
-
-    page = profile.sample_page(rng)
-    done = {"flag": False}
-
-    def finish() -> None:
-        done["flag"] = True
-
     flow = _QuicFlowAdapter(client=client, server=server)
-    _PageLoadSession(sim, flow, page, config.pipeline_depth, finish)
-    step = 0.1
-    while not done["flag"] and sim.now < config.max_duration:
-        sim.run(until=min(sim.now + step, config.max_duration))
-    if done["flag"]:
-        sim.run(until=sim.now + 4 * path.rtt)
-    return observer.trace()
+    return run_visit(sim, flow, observer, profile.sample_page(rng), config,
+                     path.rtt, watchdog)
+
+
+def load_page_quic(
+    profile: SiteProfile,
+    config: Optional[PageLoadConfig] = None,
+    rng: Optional[np.random.Generator] = None,
+    server_controller: Optional[StobController] = None,
+) -> Trace:
+    """Simulate one QUIC visit and return the observed trace."""
+    return load_page_quic_result(profile, config, rng, server_controller).trace
 
 
 def collect_quic_dataset(
@@ -80,23 +80,12 @@ def collect_quic_dataset(
     sites: Optional[List[str]] = None,
     config: Optional[PageLoadConfig] = None,
     seed: int = 0,
-    controller_factory: Optional[Callable[[], StobController]] = None,
+    enforce: bool = False,
+    workers: int = 1,
 ) -> Dataset:
-    """A closed-world dataset of QUIC page loads."""
-    config = config or PageLoadConfig()
-    dataset = Dataset()
-    labels = sites or sorted(SITE_CATALOG)
-    root = np.random.default_rng(seed)
-    for label in labels:
-        profile = SITE_CATALOG[label]
-        for _ in range(n_samples):
-            rng = np.random.default_rng(root.integers(0, 2**63))
-            controller = (
-                controller_factory() if controller_factory is not None else None
-            )
-            dataset.add(
-                label,
-                load_page_quic(profile, config, rng,
-                               server_controller=controller),
-            )
-    return dataset
+    """A closed-world dataset of QUIC page loads (stalls dropped);
+    ``enforce`` installs the split+delay Stob controller on the server."""
+    return run_trials(
+        PageLoadTrial(config or PageLoadConfig(), quic=True, enforce=enforce),
+        n_samples, sites, seed, workers=workers,
+    )

@@ -28,7 +28,7 @@ Components
 
 from repro.stob.policy import GapDistribution, ObfuscationPolicy, SizeDistribution
 from repro.stob.registry import PolicyRegistry
-from repro.stob.controller import StobController, attach_stob
+from repro.stob.controller import StobController, attach_stob, split_delay_controller
 from repro.stob.actions import (
     ComposedAction,
     DelayAction,
@@ -47,6 +47,7 @@ __all__ = [
     "PolicyRegistry",
     "StobController",
     "attach_stob",
+    "split_delay_controller",
     "StobAction",
     "NoOpAction",
     "SplitAction",

@@ -16,7 +16,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.obs import runtime as _obs_runtime
-from repro.stob.actions import NoOpAction, StobAction, action_from_policy
+from repro.stob.actions import (
+    ComposedAction,
+    DelayAction,
+    NoOpAction,
+    SplitAction,
+    StobAction,
+    action_from_policy,
+)
 from repro.stob.constraints import ConstraintReport, PhaseGate
 from repro.stob.policy import ObfuscationPolicy
 
@@ -102,6 +109,21 @@ class StobController:
         """Clear per-connection state (new connection reuse)."""
         self.action.reset()
         self._last_departure = -1.0
+
+
+def split_delay_controller(rng) -> StobController:
+    """The paper's §3 split+delay countermeasure, enforced in the stack.
+
+    Packets over 1200 B split in two, and every departure is delayed by
+    ``U(0.10, 0.30)`` of the gap since the previous one, drawn from
+    ``rng`` (a ``numpy.random.Generator``) — the parameters of the
+    trace-level :class:`~repro.defenses.combined.CombinedDefense`.
+    """
+    return StobController(
+        action=ComposedAction(
+            SplitAction(1200, 2), DelayAction(0.10, 0.30, rng=rng)
+        )
+    )
 
 
 def attach_stob(

@@ -11,7 +11,7 @@ previously lost the entire collection campaign.  The
 * **recovers from worker death** — the broken pool is torn down and
   rebuilt, completed chunks are kept, and the lost chunks are
   rescheduled.  Because every trial's randomness is position-derived
-  (:func:`repro.experiments.runner.trial_seed_rng`), a rescheduled
+  (:func:`repro.web.pageload.visit_seed_rng`), a rescheduled
   chunk recomputes byte-identical results, so recovery never changes
   the dataset;
 * **quarantines poison trials** — a chunk that keeps killing workers

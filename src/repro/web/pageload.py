@@ -12,18 +12,19 @@ reports ``completed=False`` with diagnostics, and strict callers (the
 resilient experiment runner) get a structured :class:`PageLoadStalled`
 instead of a silently truncated trace.
 
-:func:`collect_dataset` repeats this for every site and sample count,
-with per-visit path jitter (RTT and bandwidth vary between visits the
-way consecutive real fetches do), producing the raw dataset the
-Table-2 pipeline sanitises.  Stalled visits are dropped and counted —
-partial traces never enter a dataset.
+:func:`collect_dataset` repeats this for every site and sample count
+through the trial executor of :mod:`repro.experiments.runner`, with
+per-visit path jitter (RTT and bandwidth vary between visits the way
+consecutive real fetches do), producing the raw dataset the Table-2
+pipeline sanitises.  Stalled visits are dropped and counted — partial
+traces never enter a dataset.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -134,6 +135,10 @@ class PageLoadStalled(TrialError):
         super().__init__(f"page load of {site!r} stalled: {result.stall_summary()}")
         self.site = site
         self.result = result
+
+    def __reduce__(self):
+        # Stalls travel home from pool workers with the trial outcome.
+        return (PageLoadStalled, (self.site, self.result))
 
 
 class _PageLoadSession:
@@ -298,14 +303,32 @@ def load_page_result(
     if on_flow is not None:
         on_flow(flow)
 
-    page = profile.sample_page(rng)
+    return run_visit(sim, flow, observer, profile.sample_page(rng), config,
+                     path.rtt, watchdog)
+
+
+def run_visit(
+    sim: Simulator,
+    flow,
+    observer: TraceObserver,
+    page: PageSample,
+    config: PageLoadConfig,
+    rtt: float,
+    watchdog: Optional[Callable[[], None]] = None,
+) -> PageLoadResult:
+    """Drive one visit's request/response rounds over a built flow.
+
+    Runs until the page completes (then drains trailing ACKs for four
+    RTTs) or ``config.max_duration`` simulated seconds pass.  Shared by
+    the TCP and QUIC loaders: ``flow`` only needs ``client``/``server``
+    endpoints with the stream-socket surface and a ``connect()``.
+    """
     done = {"flag": False}
 
     def finish() -> None:
         done["flag"] = True
 
     session = _PageLoadSession(sim, flow, page, config.pipeline_depth, finish)
-    # Run until the page completes (plus trailing ACKs) or the guard.
     step = 0.1
     while not done["flag"] and sim.now < config.max_duration:
         if watchdog is not None:
@@ -313,7 +336,7 @@ def load_page_result(
         sim.run(until=min(sim.now + step, config.max_duration))
     if done["flag"]:
         # Drain trailing ACKs/retransmissions.
-        sim.run(until=sim.now + 4 * path.rtt)
+        sim.run(until=sim.now + 4 * rtt)
     result = PageLoadResult(
         trace=observer.trace(),
         completed=done["flag"],
@@ -378,45 +401,26 @@ def load_page_strict(
     return result.trace
 
 
-def visit_seed_rng(seed: int, label: str, sample: int) -> np.random.Generator:
+def visit_seed_rng(
+    seed: int, label: str, sample: int, attempt: int = 0
+) -> np.random.Generator:
     """The canonical per-visit generator: derived from the visit's
     *identity* ``(seed, label, sample)``, never from how many visits
     ran before it.
 
-    An earlier version drew visit seeds from one sequential stream, so
-    adding a site to the list (or changing ``n_samples``) reshuffled
-    every subsequent visit's randomness.  Deriving from the coordinate
-    tuple makes each visit's trace a pure function of (seed, label,
-    sample): subsetting sites or extending sample counts leaves all
-    other visits bit-identical, matching the runner's position-derived
-    :func:`repro.experiments.runner.trial_seed_rng` — and it is what
-    makes parallel fan-out of :func:`collect_dataset` safe.  The label
-    enters through its CRC-32 so the derivation is independent of the
-    site catalogue's size or ordering.
-
-    Dataset-reproducibility implication: datasets collected with a
-    pre-fix sequential-stream build differ from current ones for the
-    same seed; re-collect rather than mixing the two generations.
+    Deriving from the coordinate tuple makes each visit's trace a pure
+    function of (seed, label, sample): subsetting sites or extending
+    sample counts leaves all other visits bit-identical, and every
+    collection path (plain, resilient, parallel, enforced, QUIC) draws
+    the same visit for the same coordinates.  The label enters through
+    its CRC-32 so the derivation is independent of the site
+    catalogue's size or ordering.  Retry ``attempt`` k > 0 of a trial
+    appends k to the seed tuple; attempt 0 is the visit itself.
     """
-    return np.random.default_rng(
-        [seed, zlib.crc32(label.encode("utf-8")), sample]
-    )
-
-
-def _collect_visit_chunk(
-    config: PageLoadConfig, seed: int, visits: List[Tuple[str, int]]
-) -> List[Tuple[str, int, PageLoadResult]]:
-    """Worker task: run a chunk of ``(label, sample)`` visits.
-
-    Module-level (picklable) so :func:`collect_dataset` can fan chunks
-    out over a process pool; each visit reseeds from its coordinates,
-    so chunking never affects results.
-    """
-    out = []
-    for label, sample in visits:
-        rng = visit_seed_rng(seed, label, sample)
-        out.append((label, sample, load_page_result(SITE_CATALOG[label], config, rng)))
-    return out
+    key = [seed, zlib.crc32(label.encode("utf-8")), sample]
+    if attempt:
+        key.append(attempt)
+    return np.random.default_rng(key)
 
 
 def collect_dataset(
@@ -432,37 +436,25 @@ def collect_dataset(
 ) -> Dataset:
     """Collect ``n_samples`` visits of each site (the paper's 100).
 
-    Stalled loads are dropped — a deadline-truncated trace is not a
-    shorter page load and would poison the dataset.  Each stall is
-    appended to ``stall_log`` (when given) so callers can report how
-    many visits were discarded; the resilient runner in
-    :mod:`repro.experiments.runner` adds retries and checkpointing on
-    top of this primitive.
+    The no-retry, no-checkpoint call of the trial executor
+    (:func:`repro.experiments.runner.run_trials`): visit (site, sample)
+    draws :func:`visit_seed_rng` ``(seed, site, sample)``.  Stalled
+    loads are dropped — a deadline-truncated trace is not a shorter
+    page load and would poison the dataset — and each stall is
+    appended to ``stall_log`` (when given) in grid order.
 
-    ``workers > 1`` fans the (site x sample) grid out over a process
-    pool.  Every visit's randomness comes from :func:`visit_seed_rng`
-    (its coordinates, not a shared stream), and results are merged in
-    grid order, so the dataset is bit-identical for any worker count;
-    ``workers=1`` (default) is the in-process fast path.  ``workers=0``
-    uses one process per core.
+    ``workers > 1`` fans the (site x sample) grid out over a supervised
+    process pool (``supervisor`` overrides its
+    :class:`~repro.supervise.SupervisorConfig`); the dataset is
+    bit-identical for any worker count.  ``workers=0`` uses one process
+    per core.
 
     ``cache`` (a :class:`repro.cache.ArtifactStore`) memoises the
     collected dataset under its capture key — (pageload config, sites,
     n_samples, seed); ``workers`` stays out of the key because output
     is worker-count invariant.  On a warm hit no visit is simulated, so
     ``progress``/``stall_log`` see nothing.
-
-    The parallel fan-out runs under a
-    :class:`~repro.supervise.SupervisedPool` (``supervisor`` overrides
-    its :class:`~repro.supervise.SupervisorConfig`): worker death
-    rebuilds the pool and replays the lost chunks to identical bytes,
-    and a visit that repeatedly kills workers is quarantined — dropped
-    from the dataset with a loud log line — instead of sinking the run.
     """
-    import functools
-
-    from repro.parallel import chunked, default_chunk_size, resolve_workers
-
     config = config or PageLoadConfig()
     labels = sites or sorted(SITE_CATALOG)
     if cache is not None:
@@ -482,55 +474,11 @@ def collect_dataset(
                 supervisor=supervisor,
             ),
         )
-    dataset = Dataset()
-    grid = [(label, sample) for label in labels for sample in range(n_samples)]
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(grid) <= 1:
-        outcomes = _collect_visit_chunk(config, seed, grid)
-    else:
-        from repro.supervise import SupervisedPool
+    # Imported here: the runner and the supervisor stay off the import
+    # path of every module that only loads pages.
+    from repro.experiments.runner import PageLoadTrial, run_trials
 
-        # Worker metrics (when observability is on) come home as
-        # per-chunk snapshots and merge into this process's registry;
-        # a chunk lost to a crash never ships its snapshot, so the
-        # merged totals stay equal to a serial run's.
-        chunk_fn = _collect_visit_chunk
-        if _obs_runtime.session() is not None:
-            chunk_fn = _obs_runtime.WorkerTask(_collect_visit_chunk)
-        chunks = chunked(grid, default_chunk_size(len(grid), workers))
-        merged = {}
-
-        def merge(payload) -> None:
-            for label, sample, result in _obs_runtime.absorb(payload):
-                merged[(label, sample)] = result
-
-        pool = SupervisedPool(
-            workers,
-            functools.partial(chunk_fn, config, seed),
-            merge,
-            config=supervisor,
-        )
-        report = pool.run(chunks)
-        # Quarantined visits are simply absent from `merged`; every
-        # other coordinate must be present.
-        outcomes = [
-            (label, s, merged[(label, s)])
-            for label, s in grid
-            if (label, s) in merged
-        ]
-        dropped = sorted(q.item for q in report.quarantined)
-        missing = sorted(c for c in grid if c not in merged)
-        if missing != dropped:
-            raise RuntimeError(
-                f"supervised collection lost {missing} but only "
-                f"quarantined {dropped}"
-            )
-    for label, index, result in outcomes:
-        if not result.completed:
-            if stall_log is not None:
-                stall_log.append(PageLoadStalled(label, result))
-            continue
-        dataset.add(label, result.trace)
-        if progress is not None:
-            progress(label, index)
-    return dataset
+    return run_trials(
+        PageLoadTrial(config), n_samples, labels, seed, workers=workers,
+        supervisor=supervisor, progress=progress, stall_log=stall_log,
+    )

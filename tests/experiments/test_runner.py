@@ -14,9 +14,13 @@ from repro.experiments.runner import (
     TrialDeadlineExceeded,
     collect_resilient,
     pageload_trial_fn,
-    trial_seed_rng,
 )
-from repro.web.pageload import PageLoadConfig, PageLoadStalled, load_page_result
+from repro.web.pageload import (
+    PageLoadConfig,
+    PageLoadStalled,
+    load_page_result,
+    visit_seed_rng,
+)
 from repro.web.sites import SITE_CATALOG
 
 SITES = ["bing.com", "github.com"]
@@ -141,10 +145,13 @@ def test_wall_clock_deadline_aborts_via_watchdog():
 
 
 def test_trial_seeds_depend_only_on_position():
-    a = trial_seed_rng(7, 1, 3, 0).integers(0, 2**31)
-    b = trial_seed_rng(7, 1, 3, 0).integers(0, 2**31)
-    c = trial_seed_rng(7, 1, 3, 1).integers(0, 2**31)
+    a = visit_seed_rng(7, "bing.com", 3, 0).integers(0, 2**31)
+    b = visit_seed_rng(7, "bing.com", 3, 0).integers(0, 2**31)
+    c = visit_seed_rng(7, "bing.com", 3, 1).integers(0, 2**31)
     assert a == b != c
+    # Attempt 0 is the plain visit: the same draws collect_dataset makes.
+    plain = visit_seed_rng(7, "bing.com", 3).integers(0, 2**31)
+    assert a == plain
 
 
 def test_same_seed_same_faults_byte_identical_datasets(tmp_path):

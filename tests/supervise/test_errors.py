@@ -56,14 +56,6 @@ def test_decode_errors_cover_common_corruption_shapes():
         assert issubclass(cls, ARTIFACT_DECODE_ERRORS)
 
 
-def test_deprecated_retryable_alias_warns():
-    import repro.experiments.runner as runner
-
-    with pytest.warns(DeprecationWarning, match="RETRYABLE"):
-        legacy = runner.RETRYABLE
-    assert legacy == RETRYABLE_ERRORS
-
-
 def test_bare_runtime_error_is_no_longer_retried():
     """The old policy retried any RuntimeError/ValueError; a bug like a
     typo'd attribute now fails fast instead of burning the budget."""
@@ -75,7 +67,7 @@ def test_bare_runtime_error_is_no_longer_retried():
 
     with pytest.raises(RuntimeError, match="programming error"):
         execute_trial(
-            buggy_trial, "bing.com", 0, 0, master_seed=1,
+            buggy_trial, "bing.com", 0, master_seed=1,
             retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
             sleep=lambda s: None,
         )
@@ -90,7 +82,7 @@ def test_trial_error_still_retries():
         raise TrialError("transient")
 
     outcome = execute_trial(
-        flaky_trial, "bing.com", 0, 0, master_seed=1,
+        flaky_trial, "bing.com", 0, master_seed=1,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         sleep=lambda s: None,
     )
@@ -106,3 +98,30 @@ def test_runner_config_carries_supervisor_config():
     assert config.supervisor.max_worker_restarts == 1
     # And it canonicalises for cache-key derivation like every config.
     assert "supervisor" in config.to_dict()
+
+
+def _sleep_forever(started):
+    import time
+
+    started.set()
+    time.sleep(60)
+
+
+def test_forked_worker_dies_on_sigterm_inside_translated_block():
+    """Pool workers forked while the coordinator translates SIGTERM must
+    still die on it: a worker that raised instead would try to report
+    the exception to a pool that stopped reading, and hang the exit."""
+    import multiprocessing
+    import signal
+
+    from repro.errors import sigterm_translated
+
+    context = multiprocessing.get_context("fork")
+    started = context.Event()
+    with sigterm_translated():
+        worker = context.Process(target=_sleep_forever, args=(started,))
+        worker.start()
+        assert started.wait(timeout=10)
+        worker.terminate()
+        worker.join(timeout=10)
+    assert worker.exitcode == -signal.SIGTERM

@@ -66,8 +66,8 @@ def test_parallel_collection_is_byte_identical(tmp_path):
 
 
 def test_parallel_collection_preserves_progress_and_stalls():
-    """Stall logging and progress callbacks fire in grid order
-    regardless of completion order."""
+    """The stall log lists stalls in grid order regardless of
+    completion order (progress only ever sees completed visits)."""
     config = PageLoadConfig(max_duration=0.01)  # everything stalls
     serial_log, fanned_log = [], []
     serial_progress, fanned_progress = [], []
